@@ -10,8 +10,8 @@ rows:
   months, states, quantity and price bounds, LIMITs, ...), never
   repeating a text within a run;
 * :func:`day_rows` builds one landed day of fact rows (a write);
-* :func:`zipf_sequence` and :func:`poisson_schedule` make the service's
-  skewed query mix and its open-loop arrival times.
+* :func:`zipf_sequence` makes the service's skewed query sequence, and
+  :func:`poisson_schedule` the arrivals ``max_qps_at_slo`` replays.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Run one workload of the benchmark and print its metrics.
 
-    python3 bench/run.py --workload adhoc --seed 1 --seconds 20 --trace 0
+    python3 bench/run.py --workload adhoc --seed 1 --seconds 25 --trace 0
 
 Run from the repository root.  With ``--trace 0`` it prints every
 end-to-end metric of ``BENCHMARK.json``; with ``--trace 1`` it runs the
@@ -26,6 +26,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 sys.path[:0] = [os.path.join(ROOT, "src"), HERE]
 
+import hostspeed  # noqa: E402
 import workloads as W  # noqa: E402
 from reference import Reference, same_multiset  # noqa: E402
 from tracer import Tracer  # noqa: E402
@@ -115,33 +116,69 @@ def _perturb(value):
 # -- end-to-end metrics ----------------------------------------------------
 
 
+def at_reference(op: W.Op) -> float:
+    """``op``'s time at the host's reference speed (``hostspeed``)."""
+    return hostspeed.at_reference(op.seconds, op.kernel)
+
+
+def slot_times(reads: list[W.Op]) -> list[float]:
+    """Closed loops: each slot's median time over the run's rounds, at
+    the host's reference speed.
+
+    Every round reads the same slots — (template or text, how many
+    times it was read earlier in the round) — so a slot repeats the
+    same work once per round (ad hoc: the same template with other
+    literals; dashboard: the same text from the same cache state).
+    """
+    times: dict[tuple[str, int], list[float]] = {}
+    seen: dict[tuple[int, str], int] = {}
+    for op in reads:
+        k = seen.get((op.round, op.name), 0)
+        seen[(op.round, op.name)] = k + 1
+        times.setdefault((op.name, k), []).append(at_reference(op))
+    return [statistics.median(v) for v in times.values()]
+
+
 def end_to_end(run: W.Run, seed: int, seconds: float) -> dict[str, float]:
     cfg = W.SETTINGS[run.workload]
     reads = [op for op in run.reads() if not op.error]
     if run.workload == "service":
-        measured = [op for op in reads if op.arrival < run.fixed]
-        span = max(op.finished for op in measured) - min(op.due for op in measured)
-        qps = len(measured) / span
-        # What each query kept a dispatcher busy: its latency less the
-        # generator's lateness and its wait in the admission queue.
-        busy = [op.seconds - op.late - op.metrics.queue_wait_ms / 1000.0 for op in measured]
-        max_qps = W.replay_capacity(busy, seed, run.workload, servers=W.workers())
-    else:
-        measured = reads
-        rounds: dict[int, list[float]] = {}
+        # Each ticket and each burst by its median over rounds: the
+        # ticket's latency from its submission, what it kept a
+        # dispatcher busy (that latency less its wait in the admission
+        # queue), and the burst's time from first submission to last
+        # completion.
+        lat: dict[int, list[float]] = {}
+        busy: dict[int, list[float]] = {}
+        bursts: dict[tuple[int, int], list[W.Op]] = {}
         for op in reads:
-            rounds.setdefault(op.round, []).append(op.seconds)
-        qps = statistics.median(len(v) / sum(v) for v in rounds.values())
-        max_qps = W.replay_capacity([op.seconds for op in reads], seed, run.workload)
-    lat_ms = [op.seconds * 1000.0 for op in measured]
+            lat.setdefault(op.arrival, []).append(at_reference(op))
+            held = op.seconds - op.metrics.queue_wait_ms / 1000.0
+            busy.setdefault(op.arrival, []).append(hostspeed.at_reference(held, op.kernel))
+            bursts.setdefault((op.arrival // W.SERVICE_BURST, op.round), []).append(op)
+        walls: dict[int, list[float]] = {}
+        for (burst, _), ops in bursts.items():
+            wall = max(op.finished for op in ops) - min(op.due for op in ops)
+            walls.setdefault(burst, []).append(hostspeed.at_reference(wall, ops[0].kernel))
+        times = [statistics.median(v) for v in lat.values()]
+        qps = len(times) / sum(statistics.median(v) for v in walls.values())
+        held_s = [statistics.median(v) for v in busy.values()]
+        max_qps = W.replay_capacity(held_s, seed, run.workload, servers=W.workers())
+    else:
+        times = slot_times(reads)
+        qps = len(times) / sum(times)
+        max_qps = W.replay_capacity(times, seed, run.workload)
+    lat_ms = [t * 1000.0 for t in times]
     return {
-        "setup_s": statistics.median(run.setup_s),
+        "setup_s": statistics.median(
+            hostspeed.at_reference(s, k) for s, k in zip(run.setup_s, run.setup_kernel)
+        ),
         "queries_per_s": qps,
         "query_p50_ms": statistics.median(lat_ms),
         "query_tail_ms": percentile(lat_ms, cfg["tail"]),
-        "scanned_mib_per_query": sum(op.bytes_scanned for op in measured) / len(measured) / MIB,
+        "scanned_mib_per_query": sum(op.bytes_scanned for op in reads) / len(reads) / MIB,
         "peak_rss_mib": run.peak_rss_mib,
-        "write_p50_ms": statistics.median(op.seconds for op in run.writes()) * 1000.0,
+        "write_p50_ms": statistics.median(at_reference(op) for op in run.writes()) * 1000.0,
         "max_qps_at_slo": max_qps,
     }
 
@@ -208,6 +245,7 @@ def per_layer(run: W.Run, tracer: Tracer) -> tuple[dict[str, float], list[str]]:
         "tpcds.generate_s": statistics.median(generate) if generate else 0.0,
         "parallel.pool_start_s": statistics.median(pool) if pool else 0.0,
         "trace.overhead_pct": overhead_pct(run),
+        "host.kernel_us": statistics.median(op.kernel for op in run.ops if op.kernel) * 1e6,
     }
     # A layer whose entry point is gone reports nothing rather than 0.
     gone = {entry.split(" ")[0] for entry in tracer.missing}
@@ -250,7 +288,7 @@ def overhead_pct(run: W.Run) -> float:
         times: dict[bool, dict[str, list[float]]] = {True: {}, False: {}}
         for op in run.ops:
             if op.kind == kind and not op.error and op.round not in skip:
-                times[op.traced].setdefault(op.name, []).append(op.seconds)
+                times[op.traced].setdefault(op.name, []).append(at_reference(op))
         on, off = times[True], times[False]
         ratios = [
             statistics.median(on[name]) / statistics.median(off[name])
@@ -273,7 +311,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=sorted(W.WORKLOADS))
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
 
@@ -283,14 +321,12 @@ def main(argv: list[str] | None = None) -> int:
     for problem in problems:
         print(f"WRONG: {problem}")
     reads = run.reads()
-    failed = [op for op in run.ops if op.error and op.error != "refused"]
+    failed = [op for op in run.ops if op.error]
     for op in failed[:5]:
         print(f"FAILED: {op.name}: {op.error}")
-    late = [op.late * 1000.0 for op in reads if op.arrival >= 0]
     print(f"workload={args.workload} seed={args.seed} reads={len(reads)} "
           f"writes={len(run.writes())} attempted={len(run.ops)} failed={len(failed)}"
-          + (f" refused={run.refused} generator_late_ms p50={statistics.median(late):.3f}"
-             f" max={max(late):.3f}" if late else ""))
+          + (f" refused={run.refused}" if args.workload == "service" else ""))
     if args.trace:
         values, missing = per_layer(run, tracer)
         os.makedirs(os.path.join(os.getcwd(), ".bench_out"), exist_ok=True)

@@ -16,7 +16,6 @@ import os
 import random
 import resource
 import statistics
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -27,12 +26,19 @@ from repro.server.service import QueryService, ServiceConfig
 from repro.storage.columnar import StoredTable
 from repro.tpcds.queries import STUDIED_QUERIES, WORKLOAD_QUERIES
 
+import hostspeed
 import inputs
 
-#: Data scale of every workload (see README for rows and MiB per table).
+#: Data scale of the dashboard and of the ad hoc workload (half, so a
+#: run makes twice the rounds); the service's is below.  See README for
+#: rows and MiB per table.
 SCALE = 1.0
+ADHOC_SCALE = 0.5
 #: Set-up is repeated this many times per run; ``setup_s`` is the median.
 SETUP_REPEATS = 3
+#: Calibration kernel runs per sample around a set-up (around an
+#: operation: ``hostspeed.REPEATS``).
+SETUP_KERNEL_REPEATS = 9
 #: Writes land days into this fact table ...
 FACT = "store_sales"
 #: ... ``LANDING_ROWS`` rows at a time, keeping the last
@@ -45,14 +51,13 @@ PAPER_RULES = frozenset(
     {"groupby_join_to_window", "join_on_keys", "union_all_on_join", "union_all_fusion"}
 )
 
-#: Per-workload reported tail percentile — the highest with ten of the
-#: run's samples beyond it (at 20 s: ~200 ad hoc reads, ~300 dashboard
-#: reads, 70 service arrivals) — and the latency SLO on that percentile
-#: for ``max_qps_at_slo``.
+#: Per-workload reported tail percentile, taken over the 32 slots (closed
+#: loops) or the 32 tickets (service) of a round, and
+#: the latency SLO on it for ``max_qps_at_slo``.
 SETTINGS = {
-    "adhoc": {"tail": 0.90, "slo_ms": 10000.0},
-    "dashboard": {"tail": 0.95, "slo_ms": 3000.0},
-    "service": {"tail": 0.857, "slo_ms": 1000.0},
+    "adhoc": {"tail": 0.95, "slo_ms": 10000.0},
+    "dashboard": {"tail": 0.90, "slo_ms": 3000.0},
+    "service": {"tail": 0.90, "slo_ms": 1000.0},
 }
 #: Ad hoc: a write after every 8th query (4 per 32-query round).
 ADHOC_WRITE_EVERY = 8
@@ -60,23 +65,23 @@ ADHOC_WRITE_EVERY = 8
 #: 4 times, so every round reads each of the five studied queries over
 #: the written table exactly once after its invalidation.
 DASHBOARD_READS_PER_TEXT = 4
-#: Service: data scale (smaller, so the open loop reaches a hundred
-#: arrivals in under a minute), simulated object-store latency per
-#: partition read, plan cache budget (below the mix's working set),
-#: instances per template in the Zipf pool, Zipf exponent, days landed
-#: before start, tenants the load is spread over, closed-loop warm-up
-#: queries, and the offered rate — low enough that a cache hit seldom
-#: shares the interpreter with a miss, so the median is a hit's own
-#: time and not a count of collisions.
+#: Service: data scale (smaller, so a round ends in about a second),
+#: simulated object-store latency per partition read, plan cache budget
+#: (below the round's working set), Zipf exponent over the pool (one
+#: instance per template), days landed before start, tenants the load is
+#: spread over, warm-up queries, arrivals per round, tickets submitted
+#: at once (twice the dispatchers, so half of each burst queues), and
+#: the fewest rounds a run makes.
 SERVICE_SCALE = 0.25
 SERVICE_IO_LATENCY_MS = 5.0
 SERVICE_CACHE_MB = 0.12
-SERVICE_VARIANTS = 2
 SERVICE_ZIPF = 1.2
 SERVICE_WRITES = 8
 SERVICE_TENANTS = 4
-SERVICE_WARMUP = 16
-SERVICE_RATE = 2.0
+SERVICE_WARMUP = 10
+SERVICE_ARRIVALS = 32
+SERVICE_BURST = 4
+SERVICE_MIN_ROUNDS = 4
 SERVICE_OVERHEAD_PAIRS = 16
 
 
@@ -96,14 +101,15 @@ class Op:
     fusions: int = 0
     metrics: object = None
     traced: bool = False
-    round: int = 0  # closed loops: the round; service: the load phase
+    round: int = 0
     error: str | None = None
-    #: Service only: arrival index, due and completion instants
-    #: (perf_counter seconds), and how late the generator submitted it.
+    #: Service only: the ticket's index in the round, and its submission
+    #: and completion instants (perf_counter seconds).
     arrival: int = -1
     due: float = 0.0
     finished: float = 0.0
-    late: float = 0.0
+    #: The calibration kernel's time around this operation (hostspeed).
+    kernel: float = 0.0
 
 
 @dataclass
@@ -111,10 +117,10 @@ class Run:
     workload: str
     ops: list[Op] = field(default_factory=list)
     setup_s: list[float] = field(default_factory=list)
+    setup_kernel: list[float] = field(default_factory=list)
     peak_rss_mib: float = 0.0
     landing: "Landing | None" = None
     store: object = None
-    fixed: int = 0
     trace_mark: int = 0
     trace_end: int | None = None
     count_mark: dict = field(default_factory=dict)
@@ -217,10 +223,32 @@ def _setup(run: Run, build):
     for i in range(SETUP_REPEATS):
         if state is not None:
             state.close()
+        before = hostspeed.sample(SETUP_KERNEL_REPEATS)
         start = time.perf_counter()
         state, excluded = build(i)
         run.setup_s.append(time.perf_counter() - start - excluded)
+        run.setup_kernel.append((before + hostspeed.sample(SETUP_KERNEL_REPEATS)) / 2)
     return state
+
+
+class _Speed:
+    """Stamps timed operations with the calibration kernel's time around
+    them: the sample taken before them (shared with the operations
+    before, unless :meth:`refresh` took a new one) and one after."""
+
+    def __init__(self):
+        self.last = hostspeed.sample()
+
+    def refresh(self) -> None:
+        self.last = hostspeed.sample()
+
+    def stamp(self, *ops: Op) -> Op:
+        """Stamp ``ops``, which just ended; returns the first."""
+        after = hostspeed.sample()
+        for op in ops:
+            op.kernel = (self.last + after) / 2
+        self.last = after
+        return ops[0]
 
 
 def _end_setup(run: Run, state, toggle: _Toggle) -> None:
@@ -249,7 +277,7 @@ def adhoc(seed: int, seconds: float, tracer=None) -> Run:
     toggle.set(tracer is not None)
 
     def build(_):
-        store = repro.generate_dataset(SCALE)
+        store = repro.generate_dataset(ADHOC_SCALE)
         return _Closed(store, Session(store)), 0.0
 
     state = _setup(run, build)
@@ -260,10 +288,11 @@ def adhoc(seed: int, seconds: float, tracer=None) -> Run:
     unfused = Session(state.store, OptimizerConfig(enable_fusion=False))
     instances = inputs.AdhocInstances(seed)
     measured, rnd, version = 0.0, 0, 0
+    speed = _Speed()
     while measured < seconds:
         toggle.set(tracer is not None and rnd % 2 == 1)
         for i, (name, sql) in enumerate(instances.round(), start=1):
-            op = _read(session, name, sql, version, traced=toggle.on, round=rnd)
+            op = speed.stamp(_read(session, name, sql, version, traced=toggle.on, round=rnd))
             run.ops.append(op)
             measured += op.seconds
             if rnd == 0 and op.fusions:
@@ -271,16 +300,21 @@ def adhoc(seed: int, seconds: float, tracer=None) -> Run:
                 # the same rows and scan no fewer bytes.
                 twin = unfused.execute(sql)
                 run.fused_checks.append((name, op, twin.rows, twin.metrics.bytes_scanned))
+                speed.refresh()
             if i % ADHOC_WRITE_EVERY == 0:
                 elapsed = landing.write(session)
-                unfused.reload_table(FACT)
                 version += 1
-                run.ops.append(Op("write", FACT, None, version, elapsed, traced=toggle.on, round=rnd))
+                run.ops.append(speed.stamp(
+                    Op("write", FACT, None, version, elapsed, traced=toggle.on, round=rnd)))
                 measured += elapsed
+                if rnd == 0:
+                    unfused.reload_table(FACT)
+                speed.refresh()
+        if rnd == 0:
+            unfused.close()
         rnd += 1
     toggle.set(False)
     run.peak_rss_mib = peak_rss_mib()
-    unfused.close()
     state.close()
     return run
 
@@ -308,16 +342,19 @@ def dashboard(seed: int, seconds: float, tracer=None) -> Run:
     before = _stats(cache)
     rounds = inputs.dashboard_rounds(seed, DASHBOARD_READS_PER_TEXT)
     measured, rnd, version = 0.0, 0, 0
+    speed = _Speed()
     while measured < seconds:
         toggle.set(tracer is not None and rnd % 2 == 1)
         dropped = cache.stats.invalidations
         elapsed = landing.write(session)
         run.invalidations.append(cache.stats.invalidations - dropped)
         version += 1
-        run.ops.append(Op("write", FACT, None, version, elapsed, traced=toggle.on, round=rnd))
+        run.ops.append(speed.stamp(
+            Op("write", FACT, None, version, elapsed, traced=toggle.on, round=rnd)))
         measured += elapsed
         for name in next(rounds):
-            op = _read(session, name, STUDIED_QUERIES[name], version, traced=toggle.on, round=rnd)
+            op = speed.stamp(
+                _read(session, name, STUDIED_QUERIES[name], version, traced=toggle.on, round=rnd))
             run.ops.append(op)
             measured += op.seconds
         rnd += 1
@@ -342,8 +379,9 @@ def _delta(after: dict, before: dict) -> dict:
 
 
 def service(seed: int, seconds: float, tracer=None) -> Run:
-    """An open loop against a QueryService: Zipf-skewed template
-    instances on a seeded Poisson schedule at a fixed rate."""
+    """Bursts of tickets into a QueryService: the same Zipf-skewed
+    sequence of template instances every round, from the same cache
+    state, :data:`SERVICE_BURST` tickets at a time."""
     run = Run("service")
     toggle = _Toggle(tracer)
     toggle.set(tracer is not None)
@@ -355,14 +393,10 @@ def service(seed: int, seconds: float, tracer=None) -> Run:
         io_latency_ms=SERVICE_IO_LATENCY_MS,
     )
     # The pool of texts and the Zipf order of the draws are the same in
-    # every run (literals drawn once, from seed 0); the run's seed times
-    # the arrivals, so runs differ in timing, not in the work offered.
+    # every run (literals drawn once, from seed 0); the run's seed picks
+    # the days landed before the service starts.
     gen = inputs.AdhocInstances(0)
-    names = list(WORKLOAD_QUERIES)
-    pool = [
-        (names[rank % len(names)], gen.draw(names[rank % len(names)]))
-        for rank in range(SERVICE_VARIANTS * len(names))
-    ]
+    pool = [(name, gen.draw(name)) for name in WORKLOAD_QUERIES]
 
     class _State:
         def __init__(self, store, svc, landing):
@@ -376,11 +410,13 @@ def service(seed: int, seconds: float, tracer=None) -> Run:
         # Days land before the service starts (it has no reload call);
         # their time is reported as writes, not as set-up.
         landing, loader = Landing(store, seed), Session(store)
-        excluded = 0.0
+        excluded = time.perf_counter()
+        speed = _Speed()
         for _ in range(SERVICE_WRITES):
             elapsed = landing.write(loader)
-            excluded += elapsed
-            run.ops.append(Op("write", FACT, None, len(landing.log), elapsed, traced=toggle.on))
+            run.ops.append(speed.stamp(
+                Op("write", FACT, None, len(landing.log), elapsed, traced=toggle.on)))
+        excluded = time.perf_counter() - excluded
         loader.close()
         svc = QueryService(store, ServiceConfig(base=base, dispatchers=n))
         for _, sql in pool[:SERVICE_WARMUP]:
@@ -393,28 +429,43 @@ def service(seed: int, seconds: float, tracer=None) -> Run:
     # every repeat's writes count towards write_p50_ms.
     run.landing = state.landing
     svc = state.svc
-    loop = _OpenLoop(run, svc, pool, seed, version=len(state.landing.log))
-    before = _stats(svc.plan_cache)
-    # The measured phase: the fixed rate for the run's length, and for
-    # at least 70 arrivals (its tail then has ten beyond it).
-    fixed = max(70, round(seconds * SERVICE_RATE))
-    run.fixed = fixed
-    toggle.set(tracer is not None)
-    loop.run(SERVICE_RATE, fixed, traced=toggle.on)
+    version = len(state.landing.log)
+    order = [pool[rank] for rank in inputs.zipf_sequence(0, len(pool), SERVICE_ARRIVALS, SERVICE_ZIPF)]
+    # The measured rounds, each from the same cache state (cleared, then
+    # the warm-up again, untimed and untraced), for the run's length and
+    # at least SERVICE_MIN_ROUNDS.
+    begin, rnd = time.perf_counter(), 0
+    while time.perf_counter() - begin < seconds or rnd < SERVICE_MIN_ROUNDS:
+        if rnd:
+            toggle.set(False)
+            svc.plan_cache.clear()
+            for _, sql in pool[:SERVICE_WARMUP]:
+                svc.execute(sql)
+        toggle.set(tracer is not None)
+        before = _stats(svc.plan_cache)
+        speed = _Speed()
+        for first in range(0, SERVICE_ARRIVALS, SERVICE_BURST):
+            start = len(run.ops)
+            _burst(run, svc, order, first, version, rnd, toggle.on)
+            speed.stamp(*run.ops[start:])
+        for key, value in _delta(_stats(svc.plan_cache), before).items():
+            run.cache_stats[key] = run.cache_stats.get(key, 0) + value
+        rnd += 1
     if tracer is not None:
         run.trace_end = len(tracer.spans)
-        # The open loop cannot pair traced with untraced queries, so the
-        # overhead comes from the Zipf head run one at a time, each
-        # instance once untraced and once traced (in alternating order).
+        # Bursts overlap queries, so the overhead comes from the Zipf
+        # head run one at a time, each instance once untraced and once
+        # traced (in alternating order).
+        speed = _Speed()
         for i, (name, sql) in enumerate(pool[:SERVICE_OVERHEAD_PAIRS]):
             for on in ((False, True) if i % 2 else (True, False)):
                 toggle.set(on)
-                op = _read(svc, name, sql, loop.version, traced=on, round=-1)
+                speed.refresh()
+                op = speed.stamp(_read(svc, name, sql, version, traced=on, round=-1))
                 op.kind = "overhead"
                 run.ops.append(op)
     toggle.set(False)
     run.peak_rss_mib = peak_rss_mib()
-    run.cache_stats = _delta(_stats(svc.plan_cache), before)
     state.close()
     return run
 
@@ -431,89 +482,49 @@ def meets_slo(latencies_s: list[float], workload: str) -> bool:
     return tail <= cfg["slo_ms"] / 1000.0 and not growing
 
 
-#: How often the watching thread looks for finished tickets; each look
-#: takes the interpreter lock from the dispatchers, so not too often.
-POLL_S = 0.002
+#: How often the benchmark looks for finished tickets; each look takes
+#: the interpreter lock from the dispatchers, so not too often.
+POLL_S = 0.001
 
 
-class _OpenLoop:
-    """Submits on a seeded schedule from one thread and watches the
-    tickets from the calling thread; each :meth:`run` is one phase."""
-
-    def __init__(self, run: Run, svc, pool, seed: int, version: int):
-        self.run_, self.svc, self.pool, self.seed = run, svc, pool, seed
-        self.version = version
-        self.phases = 0
-        self.arrivals = 0
-
-    def run(self, rate: float, count: int, traced: bool = False) -> None:
-        """One phase of ``count`` arrivals at ``rate``.  Which text each
-        arrival asks for is the same in every run; the run's seed draws
-        the Poisson gaps."""
-        self.phases += 1
-        offsets = inputs.poisson_schedule(self.seed, f"service-{self.phases}", rate, count)
-        ranks = inputs.zipf_sequence(self.phases, len(self.pool), count, SERVICE_ZIPF)
-        due = [0.0] * count
-        tickets: list = [None] * count
-        late = [0.0] * count
-        done_at: list = [None] * count
-        stop = threading.Event()
-        submitted = [0]
-        start = time.perf_counter() + 0.02
-
-        def submitter():
-            for i in range(count):
-                due[i] = start + offsets[i]
-                delay = due[i] - time.perf_counter()
-                if delay > 0 and stop.wait(delay):
-                    break
-                _, sql = self.pool[ranks[i]]
-                tenant = f"tenant{(self.arrivals + i) % SERVICE_TENANTS}"
-                late[i] = time.perf_counter() - due[i]
-                try:
-                    tickets[i] = self.svc.submit(sql, tenant=tenant)
-                except AdmissionRejectedError:
-                    done_at[i] = math.inf
-                submitted[0] = i + 1
-
-        thread = threading.Thread(target=submitter, name="bench-submitter")
-        thread.start()
-        pending: set[int] = set()
-        seen = 0
-        deadline = start + offsets[-1] + 60.0
-        while True:
-            limit = submitted[0]
-            pending.update(i for i in range(seen, limit) if done_at[i] is None)
-            seen = limit
-            now = time.perf_counter()
-            for i in [i for i in pending if tickets[i].done]:
-                done_at[i] = now
-                pending.discard(i)
-            if not thread.is_alive() and not pending and seen == submitted[0]:
-                break
-            if now > deadline:
-                stop.set()
-                break
-            time.sleep(POLL_S)
-        thread.join()
-        for i in range(submitted[0]):
-            name, sql = self.pool[ranks[i]]
-            finished = done_at[i] if done_at[i] is not None else math.inf
-            timing = dict(traced=traced, late=late[i], arrival=self.arrivals + i,
-                          due=due[i], finished=finished, round=self.phases - 1)
-            if tickets[i] is None:
-                self.run_.refused += 1
-                self.run_.ops.append(Op("read", name, sql, self.version, math.inf,
-                                        error="refused", **timing))
-                continue
-            try:
-                result = tickets[i].result(timeout=0)
-            except Exception as exc:  # noqa: BLE001 - reported as a failed operation
-                self.run_.ops.append(Op("read", name, sql, self.version, finished - due[i],
-                                        error=f"{type(exc).__name__}: {exc}", **timing))
-                continue
-            self.run_.ops.append(_op_from(result, name, sql, self.version, finished - due[i], **timing))
-        self.arrivals += count
+def _burst(run: Run, svc, order, first: int, version: int, rnd: int, traced: bool) -> None:
+    """Submit ``order[first:first + SERVICE_BURST]`` at once, wait for
+    every ticket, and record each as an operation timed from its own
+    submission."""
+    tickets, submitted, done_at = [], [], []
+    start = time.perf_counter()
+    for i in range(first, first + SERVICE_BURST):
+        submitted.append(time.perf_counter())
+        done_at.append(None)
+        try:
+            tickets.append(svc.submit(order[i][1], tenant=f"tenant{i % SERVICE_TENANTS}"))
+        except AdmissionRejectedError:
+            tickets.append(None)
+            done_at[-1] = math.inf
+    pending = {k for k, ticket in enumerate(tickets) if ticket is not None}
+    deadline = start + 60.0
+    while pending and time.perf_counter() < deadline:
+        time.sleep(POLL_S)
+        now = time.perf_counter()
+        for k in [k for k in pending if tickets[k].done]:
+            done_at[k] = now
+            pending.discard(k)
+    for k, ticket in enumerate(tickets):
+        name, sql = order[first + k]
+        finished = done_at[k] if done_at[k] is not None else math.inf
+        timing = dict(traced=traced, arrival=first + k, due=submitted[k],
+                      finished=finished, round=rnd)
+        if ticket is None:
+            run.refused += 1
+            run.ops.append(Op("read", name, sql, version, math.inf, error="refused", **timing))
+            continue
+        try:
+            result = ticket.result(timeout=0)
+        except Exception as exc:  # noqa: BLE001 - reported as a failed operation
+            run.ops.append(Op("read", name, sql, version, finished - submitted[k],
+                              error=f"{type(exc).__name__}: {exc}", **timing))
+            continue
+        run.ops.append(_op_from(result, name, sql, version, finished - submitted[k], **timing))
 
 
 #: Arrangements of the measured query times replayed per capacity
